@@ -13,7 +13,7 @@
 //! reported ratio is exactly what the serving memory gauges would show.
 
 use s3pg::query_translate;
-use s3pg_bench::experiments::{accuracy_context, Dataset, Scale};
+use s3pg_bench::experiments::{accuracy_context, plan_and_evaluate, Dataset, Scale};
 use s3pg_bench::timing::{bench_samples, section, Samples};
 use s3pg_pg::{PropertyGraph, Value};
 use s3pg_query::cypher;
@@ -100,8 +100,8 @@ fn main() {
     let mut first = true;
     for (tag, text) in &queries {
         let parsed = cypher::parse(text).unwrap();
-        let rows_mutable = cypher::evaluate(pg, &parsed).unwrap().rows.len();
-        let rows_compact = cypher::evaluate(&compact, &parsed).unwrap().rows.len();
+        let rows_mutable = plan_and_evaluate(pg, &parsed, 1).rows.len();
+        let rows_compact = plan_and_evaluate(&compact, &parsed, 1).rows.len();
         assert_eq!(
             rows_mutable, rows_compact,
             "representations disagree on {text}"
@@ -113,13 +113,13 @@ fn main() {
         let mut on_compact: Option<Samples> = None;
         for _ in 0..3 {
             let m = bench_samples(&format!("mutable/{tag}"), || {
-                cypher::evaluate(pg, &parsed).unwrap()
+                plan_and_evaluate(pg, &parsed, 1)
             });
             if on_mutable.as_ref().is_none_or(|best| m.p50 < best.p50) {
                 on_mutable = Some(m);
             }
             let c = bench_samples(&format!("compact/{tag}"), || {
-                cypher::evaluate(&compact, &parsed).unwrap()
+                plan_and_evaluate(&compact, &parsed, 1)
             });
             if on_compact.as_ref().is_none_or(|best| c.p50 < best.p50) {
                 on_compact = Some(c);

@@ -33,7 +33,7 @@ fn main() {
     let cx = accuracy_context(Dataset::DBpedia2022, Scale(0.15));
     let graph = &cx.prepared.generated.graph;
     let queries = generate_queries(&cx.prepared.generated.meta, 1);
-    let params = cypher::Params::default();
+    let exec = cypher::Exec::default();
 
     let mut cy_total = Duration::ZERO;
     let mut sp_total = Duration::ZERO;
@@ -44,10 +44,8 @@ fn main() {
         )
         .unwrap();
         let plan = cypher::plan(&cx.s3pg.pg, &cypher_q);
-        let cy = mean(|| {
-            cypher::evaluate_planned_params(&cx.s3pg.pg, &cypher_q, &plan, &params, 1).unwrap()
-        });
-        let sp = mean(|| sparql::evaluate_outcome_threads(graph, &sparql_q, 1).unwrap());
+        let cy = mean(|| cypher::evaluate(&cx.s3pg.pg, &cypher_q, &plan, &exec).unwrap());
+        let sp = mean(|| sparql::evaluate(graph, &sparql_q, &sparql::Exec::default()).unwrap());
         println!("cypher/q{qi}: {}ns", cy.as_nanos());
         println!("sparql/q{qi}: {}ns", sp.as_nanos());
         cy_total += cy;

@@ -54,8 +54,6 @@ fn main() {
     let cx = accuracy_context(Dataset::DBpedia2022, Scale(scale));
     let graph = &cx.prepared.generated.graph;
     let queries = generate_queries(&cx.prepared.generated.meta, 1);
-    let params = cypher::Params::default();
-    let sparql_params = sparql::Params::default();
 
     section("profile/query_overhead");
     let mut cy_disabled = Duration::ZERO;
@@ -72,23 +70,29 @@ fn main() {
         let name = q.category.name();
 
         let disabled = mean(|| {
-            cypher::evaluate_planned_params(&cx.s3pg.pg, &cypher_q, &plan, &params, 1).unwrap()
+            cypher::evaluate(&cx.s3pg.pg, &cypher_q, &plan, &cypher::Exec::default()).unwrap()
         });
         let enabled = mean(|| {
             let sink = ProfSink::new();
-            cypher::evaluate_planned_profiled(&cx.s3pg.pg, &cypher_q, &plan, &params, 1, &sink)
-                .unwrap()
+            let exec = cypher::Exec {
+                profile: Some(&sink),
+                ..cypher::Exec::default()
+            };
+            cypher::evaluate(&cx.s3pg.pg, &cypher_q, &plan, &exec).unwrap()
         });
         report(&format!("cypher/{name}"), disabled, enabled);
         cy_disabled += disabled;
         cy_enabled += enabled;
 
-        let disabled = mean(|| {
-            sparql::evaluate_outcome_threads_params(graph, &sparql_q, &sparql_params, 1).unwrap()
-        });
+        let disabled =
+            mean(|| sparql::evaluate(graph, &sparql_q, &sparql::Exec::default()).unwrap());
         let enabled = mean(|| {
             let sink = ProfSink::new();
-            sparql::evaluate_outcome_profiled(graph, &sparql_q, &sparql_params, 1, &sink).unwrap()
+            let exec = sparql::Exec {
+                profile: Some(&sink),
+                ..sparql::Exec::default()
+            };
+            sparql::evaluate(graph, &sparql_q, &exec).unwrap()
         });
         report(&format!("sparql/{name}"), disabled, enabled);
         sp_disabled += disabled;

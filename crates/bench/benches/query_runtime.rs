@@ -10,7 +10,7 @@
 
 use s3pg::query_translate;
 use s3pg_baselines::NeoSemantics;
-use s3pg_bench::experiments::{accuracy_context, Dataset, Scale};
+use s3pg_bench::experiments::{accuracy_context, plan_and_evaluate, Dataset, Scale};
 use s3pg_bench::timing::{bench, bench_samples, section, Samples};
 use s3pg_pg::{PropertyGraph, Value};
 use s3pg_query::{cypher, sparql};
@@ -52,6 +52,7 @@ fn main() {
     }
     let graph = &cx.prepared.generated.graph;
     let queries = generate_queries(&cx.prepared.generated.meta, 1);
+    let no_params = cypher::Params::default();
 
     section("figure6");
     for category in QueryCategory::ALL {
@@ -68,16 +69,16 @@ fn main() {
 
         let name = category.name();
         bench(&format!("sparql/{name}"), || {
-            sparql::evaluate(graph, &sparql_q).unwrap()
+            sparql::evaluate(graph, &sparql_q, &sparql::Exec::default()).unwrap()
         });
         bench(&format!("s3pg/{name}"), || {
-            cypher::evaluate(&cx.s3pg.pg, &s3pg_q).unwrap()
+            plan_and_evaluate(&cx.s3pg.pg, &s3pg_q, 1)
         });
         bench(&format!("neosem/{name}"), || {
-            cypher::evaluate(&cx.neosem.pg, &neo_q).unwrap()
+            plan_and_evaluate(&cx.neosem.pg, &neo_q, 1)
         });
         bench(&format!("rdf2pg/{name}"), || {
-            cypher::evaluate(&cx.rdf2pg.pg, &r2p_q).unwrap()
+            plan_and_evaluate(&cx.rdf2pg.pg, &r2p_q, 1)
         });
     }
 
@@ -99,7 +100,7 @@ fn main() {
         .unwrap();
 
         let scan = bench_samples(&format!("cypher-scan/{name}"), || {
-            cypher::evaluate_scan(&cx.s3pg.pg, &s3pg_q).unwrap()
+            cypher::evaluate_scan(&cx.s3pg.pg, &s3pg_q, &no_params).unwrap()
         });
         let cypher_t: Vec<(usize, Samples)> = THREADS
             .iter()
@@ -107,7 +108,7 @@ fn main() {
                 (
                     t,
                     bench_samples(&format!("cypher-t{t}/{name}"), || {
-                        cypher::evaluate_threads(&cx.s3pg.pg, &s3pg_q, t).unwrap()
+                        plan_and_evaluate(&cx.s3pg.pg, &s3pg_q, t)
                     }),
                 )
             })
@@ -118,7 +119,11 @@ fn main() {
                 (
                     t,
                     bench_samples(&format!("sparql-t{t}/{name}"), || {
-                        sparql::evaluate_threads(graph, &sparql_q, t).unwrap()
+                        let exec = sparql::Exec {
+                            threads: t,
+                            ..sparql::Exec::default()
+                        };
+                        sparql::evaluate(graph, &sparql_q, &exec).unwrap()
                     }),
                 )
             })
@@ -153,7 +158,7 @@ fn main() {
         let parsed = cypher::parse(&text).unwrap();
         let tag = short_tag(&text);
         let scan = bench_samples(&format!("join-scan/{tag}"), || {
-            cypher::evaluate_scan(&cx.s3pg.pg, &parsed).unwrap()
+            cypher::evaluate_scan(&cx.s3pg.pg, &parsed, &no_params).unwrap()
         });
         let join_t: Vec<(usize, Samples)> = THREADS
             .iter()
@@ -161,7 +166,7 @@ fn main() {
                 (
                     t,
                     bench_samples(&format!("join-t{t}/{tag}"), || {
-                        cypher::evaluate_threads(&cx.s3pg.pg, &parsed, t).unwrap()
+                        plan_and_evaluate(&cx.s3pg.pg, &parsed, t)
                     }),
                 )
             })
@@ -194,10 +199,10 @@ fn main() {
         let parsed = cypher::parse(&text).unwrap();
         let tag = format!("{label}.{key}");
         let scan = bench_samples(&format!("eq-scan/{tag}"), || {
-            cypher::evaluate_scan(&cx.s3pg.pg, &parsed).unwrap()
+            cypher::evaluate_scan(&cx.s3pg.pg, &parsed, &no_params).unwrap()
         });
         let indexed = bench_samples(&format!("eq-index/{tag}"), || {
-            cypher::evaluate(&cx.s3pg.pg, &parsed).unwrap()
+            plan_and_evaluate(&cx.s3pg.pg, &parsed, 1)
         });
         let speedup = scan.p50.as_nanos() as f64 / indexed.p50.as_nanos().max(1) as f64;
         println!("{tag:<56} index speedup {speedup:.1}x (p50)");

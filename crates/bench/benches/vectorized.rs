@@ -24,7 +24,7 @@ use s3pg::Mode;
 use s3pg_bench::experiments::{prepare, Dataset, Scale};
 use s3pg_bench::timing::{bench_samples, section, Samples};
 use s3pg_pg::{CompactGraph, PgRead, PropertyGraph, Value};
-use s3pg_query::cypher::{self, ExecTuning, Scheduler};
+use s3pg_query::cypher::{self, Exec, ExecTuning, Scheduler};
 use s3pg_shacl::extract_shapes;
 use s3pg_workloads::generate_queries;
 use s3pg_workloads::skew;
@@ -136,11 +136,16 @@ fn run_vectorized(scales: &[f64], out_path: &str) {
         for (tag, text) in &queries {
             let parsed = cypher::parse(text).unwrap();
             let plan = cypher::plan(&compact, &parsed);
-            let params = cypher::Params::default();
-            let rows_interpreted =
-                cypher::evaluate_planned_interpreted(&compact, &parsed, &plan, &params, 1).unwrap();
-            let rows_vectorized =
-                cypher::evaluate_planned_params(&compact, &parsed, &plan, &params, 1).unwrap();
+            let interpret = Exec {
+                tuning: ExecTuning {
+                    vectorize: false,
+                    ..ExecTuning::default()
+                },
+                ..Exec::default()
+            };
+            let vectorize = Exec::default();
+            let rows_interpreted = cypher::evaluate(&compact, &parsed, &plan, &interpret).unwrap();
+            let rows_vectorized = cypher::evaluate(&compact, &parsed, &plan, &vectorize).unwrap();
             assert_eq!(
                 rows_interpreted, rows_vectorized,
                 "pipelines disagree on {text}"
@@ -153,14 +158,13 @@ fn run_vectorized(scales: &[f64], out_path: &str) {
             let mut vectorized: Option<Samples> = None;
             for _ in 0..3 {
                 let a = bench_samples(&format!("interpreted/{tag}"), || {
-                    cypher::evaluate_planned_interpreted(&compact, &parsed, &plan, &params, 1)
-                        .unwrap()
+                    cypher::evaluate(&compact, &parsed, &plan, &interpret).unwrap()
                 });
                 if interpreted.as_ref().is_none_or(|best| a.p50 < best.p50) {
                     interpreted = Some(a);
                 }
                 let b = bench_samples(&format!("vectorized/{tag}"), || {
-                    cypher::evaluate_planned_params(&compact, &parsed, &plan, &params, 1).unwrap()
+                    cypher::evaluate(&compact, &parsed, &plan, &vectorize).unwrap()
                 });
                 if vectorized.as_ref().is_none_or(|best| b.p50 < best.p50) {
                     vectorized = Some(b);
@@ -214,17 +218,13 @@ fn ab_tunings(
 ) -> (usize, Samples, Samples) {
     let parsed = cypher::parse(text).unwrap();
     let plan = cypher::plan(compact, &parsed);
-    let params = cypher::Params::default();
     let run = |tuning: ExecTuning| {
-        cypher::evaluate_planned_tuned(
-            compact,
-            &parsed,
-            &plan,
-            &params,
-            MORSEL_BENCH_THREADS,
+        let exec = Exec {
+            threads: MORSEL_BENCH_THREADS,
             tuning,
-        )
-        .unwrap()
+            ..Exec::default()
+        };
+        cypher::evaluate(compact, &parsed, &plan, &exec).unwrap()
     };
     let rows_a = run(a.0);
     let rows_b = run(b.0);
@@ -288,10 +288,12 @@ fn run_morsel(scales: &[f64], out_path: &str) {
     let static_chunks = ExecTuning {
         scheduler: Scheduler::Static,
         topk_pushdown: false,
+        ..ExecTuning::default()
     };
     let no_topk = ExecTuning {
         scheduler: Scheduler::Morsel,
         topk_pushdown: false,
+        ..ExecTuning::default()
     };
 
     // Recorded so the gate knows whether scheduler timing ratios mean

@@ -16,7 +16,7 @@ use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_baselines::neosem::{NeoSemOutput, NeoSemantics};
 use s3pg_baselines::rdf2pg::{Rdf2Pg, Rdf2PgOutput};
-use s3pg_pg::PgStats;
+use s3pg_pg::{PgRead, PgStats};
 use s3pg_query::results::{accuracy, ResultSet};
 use s3pg_query::{cypher, sparql};
 use s3pg_rdf::DatasetStats;
@@ -430,6 +430,21 @@ pub fn accuracy_table(
 // E7 — Figure 6: query runtime analysis
 // ---------------------------------------------------------------------------
 
+/// Plan and evaluate `query` over `pg` with `threads` workers — the whole
+/// work of an uncached Cypher query, which the runtime benchmarks time.
+pub fn plan_and_evaluate<G: PgRead>(
+    pg: &G,
+    query: &cypher::CypherQuery,
+    threads: usize,
+) -> cypher::Rows {
+    let plan = cypher::plan(pg, query);
+    let exec = cypher::Exec {
+        threads,
+        ..cypher::Exec::default()
+    };
+    cypher::evaluate(pg, query, &plan, &exec).unwrap()
+}
+
 /// Mean runtimes (µs) of one query on the four systems.
 #[derive(Debug, Clone)]
 pub struct RuntimeRow {
@@ -481,16 +496,16 @@ pub fn figure6(
         let row = RuntimeRow {
             query: q.clone(),
             sparql_us: time(&|| {
-                sparql::evaluate(graph, &sparql_q).unwrap();
+                sparql::evaluate(graph, &sparql_q, &sparql::Exec::default()).unwrap();
             }),
             s3pg_us: time(&|| {
-                cypher::evaluate(&cx.s3pg.pg, &s3pg_q).unwrap();
+                plan_and_evaluate(&cx.s3pg.pg, &s3pg_q, 1);
             }),
             neosem_us: time(&|| {
-                cypher::evaluate(&cx.neosem.pg, &neo_q).unwrap();
+                plan_and_evaluate(&cx.neosem.pg, &neo_q, 1);
             }),
             rdf2pg_us: time(&|| {
-                cypher::evaluate(&cx.rdf2pg.pg, &r2p_q).unwrap();
+                plan_and_evaluate(&cx.rdf2pg.pg, &r2p_q, 1);
             }),
         };
         table.row(vec![

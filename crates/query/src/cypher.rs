@@ -273,6 +273,22 @@ pub(crate) struct SinglePlan {
     pub(crate) cost: Vec<usize>,
 }
 
+impl SinglePlan {
+    /// Estimated per-row cost of everything after the first pattern: bound
+    /// anchors and reversed patterns are O(degree) (counted 1),
+    /// forward-unbound patterns rescan their bucket per row. Times the
+    /// first pattern's candidates, it is the work estimate that engages
+    /// parallelism and vectorization.
+    pub(crate) fn per_row(&self) -> usize {
+        1 + self
+            .order
+            .iter()
+            .skip(1)
+            .map(|&pi| self.cost[pi].max(1))
+            .sum::<usize>()
+    }
+}
+
 /// A cardinality-ordered execution plan: one `SinglePlan` per UNION ALL
 /// part. Plans depend on the graph's statistics, so a cached plan is only
 /// valid for the snapshot it was computed against.
@@ -473,22 +489,33 @@ fn pattern_vars(p: &PathPattern) -> impl Iterator<Item = &str> {
 
 // ---- explain ---------------------------------------------------------------
 
-/// Render the operator tree [`evaluate_planned_params`] would execute —
-/// without executing anything. `threads` is the worker budget evaluation
-/// would be given; with `threads > 1` each part shows a `ParallelFanOut`
-/// operator (engaged at run time only when the plan's work estimate
-/// clears `PARALLEL_MIN_WORK`). Operator ids match the ones
-/// [`evaluate_planned_profiled`] records, so
+/// Render the operator tree [`evaluate`] would execute over `pg` under
+/// `exec` — without executing anything. With `exec.threads > 1` each part
+/// shows a `ParallelFanOut` operator (engaged at run time only when the
+/// plan's work estimate clears `PARALLEL_MIN_WORK`). Operator ids match
+/// the ones a profiled [`evaluate`] records, so
 /// [`PlanNode::annotate`](crate::profile::PlanNode::annotate) joins a
 /// profiled run onto this exact tree.
-pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
+///
+/// Each part carries the physical path [`evaluate`] dispatches it to:
+/// operators the batched columnar pipeline executes get `vectorized=true`
+/// (only the pattern-phase operators for a part with `OPTIONAL MATCH`,
+/// whose tail falls back to the interpreter); a morsel-driven fan-out is
+/// retagged `MorselFanOut` (same `parallel` id) with its morsel size; and
+/// a `Sort` the bounded top-K heap satisfies is retagged `TopKSort` (same
+/// `sort` id) with its bound.
+pub fn explain<G: PgRead>(pg: &G, query: &CypherQuery, plan: &CypherPlan, exec: &Exec) -> PlanNode {
     debug_assert_eq!(plan.plans.len(), query.parts.len());
     let mut parts: Vec<PlanNode> = query
         .parts
         .iter()
         .zip(&plan.plans)
         .enumerate()
-        .map(|(i, (part, sp))| explain_single(part, sp, i, threads))
+        .map(|(i, (part, sp))| {
+            let mut node = explain_single(part, sp, i, exec.threads);
+            mark_path(&mut node, part, part_path(pg, part, sp, exec));
+            node
+        })
         .collect();
     if parts.len() == 1 {
         parts.pop().unwrap()
@@ -499,65 +526,32 @@ pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNo
     }
 }
 
-/// [`explain`] for evaluation over a compact snapshot: the same operator
-/// tree with `vectorized=true` on every operator the batched columnar
-/// pipeline executes. Parts with `OPTIONAL MATCH` fall back to the
-/// interpreter after pattern expansion, so only their pattern-phase
-/// operators carry the marker.
-///
-/// On the compact path the parallel fan-out is morsel-driven, so the
-/// `ParallelFanOut` node is retagged `MorselFanOut` (same `parallel`
-/// operator id) with the morsel size, and a `Sort` that the executor can
-/// satisfy with the bounded top-K heap (ORDER BY + LIMIT, no DISTINCT, no
-/// aggregates) is retagged `TopKSort` (same `sort` id) with its bound.
-pub fn explain_compact(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
-    let mut tree = explain(query, plan, threads);
-    for (i, part) in query.parts.iter().enumerate() {
-        mark_vectorized(&mut tree, i, part.optional_patterns.is_empty());
-        mark_morsel(&mut tree, i, part);
+/// Mark one part's operator tree with its physical path (see [`explain`]).
+/// Operator ids are untouched so profile records still join.
+fn mark_path(node: &mut PlanNode, q: &SingleQuery, path: PartPath) {
+    let rest = node.id.split_once('.').map_or("", |(_, rest)| rest);
+    if path.vectorized
+        && (q.optional_patterns.is_empty() || rest.starts_with("pat") || rest == "parallel")
+    {
+        node.args.push(("vectorized".into(), "true".into()));
     }
-    tree
-}
-
-/// Retag part `i`'s physical operators for the compact executor: the
-/// fan-out becomes `MorselFanOut` and a pushdown-eligible `Sort` becomes
-/// `TopKSort`. Operator ids are untouched so profile records still join.
-fn mark_morsel(node: &mut PlanNode, part: usize, q: &SingleQuery) {
-    let prefix = format!("p{part}.");
-    if let Some(rest) = node.id.strip_prefix(&prefix) {
-        if rest == "parallel" && node.op == "ParallelFanOut" {
-            node.op = "MorselFanOut".into();
-            // The ceiling: the executor shrinks morsels on short runs
-            // (`morsel_size_for`), and EXPLAIN runs before candidates are
-            // counted.
-            node.args.push((
-                "morsel_size_max".into(),
-                crate::morsel::MORSEL_SIZE.to_string(),
-            ));
-        }
-        if rest == "sort" && node.op == "Sort" && crate::morsel::topk_eligible(q) {
-            node.op = "TopKSort".into();
-            let k = q.skip.unwrap_or(0).saturating_add(q.limit.unwrap_or(0));
-            node.args.push(("k".into(), k.to_string()));
-        }
+    if path.morsel && rest == "parallel" {
+        node.op = "MorselFanOut".into();
+        // The ceiling: the executor shrinks morsels on short runs
+        // (`morsel_size_for`), and EXPLAIN runs before candidates are
+        // counted.
+        node.args.push((
+            "morsel_size_max".into(),
+            crate::morsel::MORSEL_SIZE.to_string(),
+        ));
+    }
+    if path.topk && rest == "sort" {
+        node.op = "TopKSort".into();
+        let k = q.skip.unwrap_or(0).saturating_add(q.limit.unwrap_or(0));
+        node.args.push(("k".into(), k.to_string()));
     }
     for child in &mut node.children {
-        mark_morsel(child, part, q);
-    }
-}
-
-/// Tag part `i`'s operators with `vectorized=true`: all of them when the
-/// whole part runs batched (`all`), otherwise only the pattern-expansion
-/// spine (`pat*` operator ids and the parallel fan-out).
-fn mark_vectorized(node: &mut PlanNode, part: usize, all: bool) {
-    let prefix = format!("p{part}.");
-    if let Some(rest) = node.id.strip_prefix(&prefix) {
-        if all || rest.starts_with("pat") || rest == "parallel" {
-            node.args.push(("vectorized".into(), "true".into()));
-        }
-    }
-    for child in &mut node.children {
-        mark_vectorized(child, part, all);
+        mark_path(child, q, path);
     }
 }
 
@@ -1469,59 +1463,11 @@ pub fn execute_params<G: PgRead>(
         (q, p)
     };
     let _span = s3pg_obs::tracer().span_here("query_eval");
-    evaluate_planned_params(pg, &q, &p, params, 1)
-}
-
-/// Evaluate a parsed query over `pg`: plans (pattern ordering + equality
-/// pushdown) and runs single-threaded.
-pub fn evaluate<G: PgRead>(pg: &G, query: &CypherQuery) -> Result<Rows, CypherError> {
-    evaluate_threads(pg, query, 1)
-}
-
-/// Evaluate a parsed query with up to `threads` workers. The first
-/// pattern's candidate bindings are partitioned across a scoped worker set
-/// and the per-chunk rows merged in chunk order, so the result is
-/// byte-identical to the single-threaded evaluation.
-pub fn evaluate_threads<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    let p = plan(pg, query);
-    evaluate_planned(pg, query, &p, threads)
-}
-
-/// Evaluate a parsed query under a precomputed plan (the server's cached
-/// hot path). `plan` must have been computed from this `query`.
-pub fn evaluate_planned<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_params(pg, query, plan, &Params::default(), threads)
-}
-
-/// [`evaluate_planned`] with parameter bindings. The plan is value-free —
-/// param probes carry a name slot, resolved here — so one cached plan
-/// serves every binding of the same query text.
-pub fn evaluate_planned_params<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
+    let exec = Exec {
         params,
-        threads,
-        None,
-        true,
-        ExecTuning::default(),
-    )
+        ..Exec::default()
+    };
+    evaluate(pg, &q, &p, &exec)
 }
 
 /// Which parallel scheduler the compact (vectorized) executor uses.
@@ -1536,8 +1482,11 @@ pub enum Scheduler {
     Static,
 }
 
-/// Executor tuning knobs for [`evaluate_planned_tuned`]. Every setting
-/// produces bit-identical rows; only the physical strategy changes.
+/// Physical-strategy knobs of [`Exec`]. Every setting produces
+/// bit-identical rows; only the physical strategy changes. Benchmarks and
+/// differential tests use them to pit the morsel scheduler against static
+/// chunking, top-K pushdown against the full sort, and the vectorized
+/// pipeline against the interpreter on identical inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTuning {
     /// Parallel scheduling strategy over the first pattern's candidates.
@@ -1545,6 +1494,11 @@ pub struct ExecTuning {
     /// Satisfy `ORDER BY … LIMIT …` (no DISTINCT, no aggregates) with a
     /// bounded top-K heap instead of a full materialize-then-sort.
     pub topk_pushdown: bool,
+    /// Run parts over a [`CompactGraph`](s3pg_pg::CompactGraph) through the
+    /// batched columnar operators. `false` pins the row-at-a-time
+    /// interpreter — the differential reference the vectorized pipeline is
+    /// checked against, and the A-side of the vectorized benchmark.
+    pub vectorize: bool,
 }
 
 impl Default for ExecTuning {
@@ -1552,135 +1506,73 @@ impl Default for ExecTuning {
         ExecTuning {
             scheduler: Scheduler::Morsel,
             topk_pushdown: true,
+            vectorize: true,
         }
     }
 }
 
-/// [`evaluate_planned_params`] with explicit executor tuning — benchmarks
-/// and differential tests use this to pit the morsel scheduler against
-/// static chunking and top-K pushdown against the full sort on identical
-/// inputs. Answers are bit-identical across every tuning.
-pub fn evaluate_planned_tuned<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-    tuning: ExecTuning,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(pg, query, plan, params, threads, None, true, tuning)
+/// The empty binding set [`Exec::default`] points at.
+static NO_PARAMS: Params = Params::with_hasher(std::hash::BuildHasherDefault::new());
+
+/// How [`evaluate`] runs a planned query. [`explain`] reads the same
+/// struct, so a rendered operator tree names exactly the physical path
+/// evaluation takes.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    /// Worker budget. Parallelism engages only when the plan's work
+    /// estimate clears `PARALLEL_MIN_WORK`; rows merge in candidate order,
+    /// so the result is byte-identical to the single-threaded run.
+    pub threads: usize,
+    /// `$name` bindings. Every parameter the query references must be
+    /// bound. The plan is value-free, so one cached plan serves every
+    /// binding of the same query text.
+    pub params: &'a Params,
+    /// Per-operator profiling (`PROFILE`): every operator records rows
+    /// emitted and wall time under the ids [`explain`] assigns, so
+    /// [`PlanNode::annotate`] joins the two. Counting happens at stage
+    /// boundaries, never per row, so answers are bit-identical; `None`
+    /// runs loop bodies that carry no instrumentation at all.
+    pub profile: Option<&'a ProfSink>,
+    /// Physical-strategy knobs.
+    pub tuning: ExecTuning,
 }
 
-/// [`evaluate_planned_params`] with per-operator profiling: every operator
-/// records rows emitted and wall time into `sink` under the same ids
-/// [`explain`] assigns, so [`PlanNode::annotate`] joins the two. Counting
-/// happens at stage boundaries (`Vec::len`), never per row, so the answer
-/// is bit-identical to the unprofiled evaluation.
-pub fn evaluate_planned_profiled<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-    sink: &ProfSink,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
-        params,
-        threads,
-        Some(sink),
-        true,
-        ExecTuning::default(),
-    )
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        Exec {
+            threads: 1,
+            params: &NO_PARAMS,
+            profile: None,
+            tuning: ExecTuning::default(),
+        }
+    }
 }
 
-/// [`evaluate_planned_params`] with the vectorized-over-compact dispatch
-/// disabled: every operator runs the row-at-a-time interpreter even when
-/// `pg` is a [`CompactGraph`](s3pg_pg::CompactGraph). This is the
-/// differential reference the vectorized pipeline is pinned against, and
-/// the A-side of the vectorized benchmark.
-pub fn evaluate_planned_interpreted<G: PgRead>(
+/// Evaluate a parsed query under a precomputed plan (the server's cached
+/// hot path). `plan` must have been computed from this `query`.
+///
+/// Physical dispatch, per UNION part: over the frozen compact snapshot a
+/// part runs through the batched columnar operators, unless the planner
+/// estimates too little work to amortize them or `exec.tuning` pins the
+/// interpreter; over the mutable graph it runs the row-at-a-time
+/// interpreter. Every path produces bit-identical rows.
+pub fn evaluate<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
     plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
-        params,
-        threads,
-        None,
-        false,
-        ExecTuning::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evaluate_planned_inner<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-    prof: Option<&ProfSink>,
-    vectorize: bool,
-    tuning: ExecTuning,
+    exec: &Exec,
 ) -> Result<Rows, CypherError> {
     debug_assert_eq!(plan.plans.len(), query.parts.len());
-    for name in param_names(query) {
-        if !params.contains_key(&name) {
-            return err(format!("parameter ${name} is not bound"));
-        }
-    }
-    // Physical dispatch: over the frozen compact snapshot the same plan
-    // runs through the batched columnar operators; over the mutable graph
-    // (or when the caller pins the interpreted reference) it runs the
-    // row-at-a-time interpreter. Both produce bit-identical rows.
-    let compact = if vectorize { pg.as_compact() } else { None };
+    check_params(query, exec.params)?;
     let mut columns: Vec<String> = Vec::new();
     let mut all_rows: Vec<Vec<Option<Value>>> = Vec::new();
     for (i, part) in query.parts.iter().enumerate() {
-        let probes = resolve_probes(&plan.plans[i].probes, params);
         // Dispatch once per UNION part: the unprofiled arm monomorphizes
         // with the zero-sized NoProf hook, so its loop bodies carry no
         // instrumentation at all.
-        let part_rows = match (compact, prof) {
-            (Some(cg), None) => crate::vectorized::evaluate_part_vectorized(
-                cg,
-                part,
-                &plan.plans[i],
-                &probes,
-                params,
-                threads,
-                tuning,
-                NoProf,
-            )?,
-            (Some(cg), Some(sink)) => crate::vectorized::evaluate_part_vectorized(
-                cg,
-                part,
-                &plan.plans[i],
-                &probes,
-                params,
-                threads,
-                tuning,
-                Prof { sink, part: i },
-            )?,
-            (None, None) => {
-                let rows =
-                    expand_patterns_planned(pg, part, &plan.plans[i], &probes, threads, NoProf)?;
-                finish_single_inner(pg, part, rows, params, NoProf)?
-            }
-            (None, Some(sink)) => {
-                let hook = Prof { sink, part: i };
-                let rows =
-                    expand_patterns_planned(pg, part, &plan.plans[i], &probes, threads, hook)?;
-                finish_single_inner(pg, part, rows, params, hook)?
-            }
+        let part_rows = match exec.profile {
+            None => evaluate_part(pg, part, &plan.plans[i], exec, NoProf)?,
+            Some(sink) => evaluate_part(pg, part, &plan.plans[i], exec, Prof { sink, part: i })?,
         };
         if i == 0 {
             columns = part_rows.columns;
@@ -1691,6 +1583,72 @@ fn evaluate_planned_inner<G: PgRead>(
         columns,
         rows: all_rows,
     })
+}
+
+/// One UNION part through the physical path [`part_path`] picks.
+fn evaluate_part<G: PgRead, P: ProfHook>(
+    pg: &G,
+    part: &SingleQuery,
+    sp: &SinglePlan,
+    exec: &Exec,
+    prof: P,
+) -> Result<Rows, CypherError> {
+    let probes = resolve_probes(&sp.probes, exec.params);
+    let path = part_path(pg, part, sp, exec);
+    match pg.as_compact() {
+        Some(cg) if path.vectorized => crate::vectorized::evaluate_part_vectorized(
+            cg,
+            part,
+            sp,
+            &probes,
+            exec.params,
+            exec.threads,
+            path,
+            prof,
+        ),
+        _ => {
+            let rows = expand_patterns_planned(pg, part, sp, &probes, exec.threads, prof)?;
+            finish_single_inner(pg, part, rows, exec.params, prof)
+        }
+    }
+}
+
+/// The physical path of one UNION part, decided before any row is read
+/// from the storage kind, the tuning, and planner statistics. [`evaluate`]
+/// dispatches on it and [`explain`] marks operators from it, so the two
+/// cannot disagree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartPath {
+    /// Batched columnar operators rather than the interpreter.
+    pub(crate) vectorized: bool,
+    /// Parallel fan-out through the morsel queue rather than static chunks
+    /// (still engaged at run time only when the work clears
+    /// `PARALLEL_MIN_WORK`).
+    pub(crate) morsel: bool,
+    /// `ORDER BY … LIMIT` through the bounded top-K heap.
+    pub(crate) topk: bool,
+}
+
+fn part_path<G: PgRead>(pg: &G, part: &SingleQuery, sp: &SinglePlan, exec: &Exec) -> PartPath {
+    let vectorized = exec.tuning.vectorize
+        && pg.as_compact().is_some()
+        && crate::vectorized::worth_vectorizing(sp);
+    PartPath {
+        vectorized,
+        morsel: vectorized && exec.threads > 1 && exec.tuning.scheduler == Scheduler::Morsel,
+        topk: vectorized && exec.tuning.topk_pushdown && crate::morsel::topk_eligible(part),
+    }
+}
+
+/// Reject a query that references a `$name` missing from `params`.
+fn check_params(query: &CypherQuery, params: &Params) -> Result<(), CypherError> {
+    match param_names(query)
+        .into_iter()
+        .find(|name| !params.contains_key(name))
+    {
+        Some(name) => err(format!("parameter ${name} is not bound")),
+        None => Ok(()),
+    }
 }
 
 /// The enabled profiling hook for one UNION part: the shared sink plus the
@@ -1752,24 +1710,15 @@ fn resolve_probes(probes: &[Option<Probe>], params: &Params) -> Vec<Option<Probe
 
 /// The pre-planner baseline: evaluate with MATCH patterns in written order
 /// and label-scan candidate enumeration only (no index pushdown, no
-/// reordering, single-threaded). Kept as the reference for differential
-/// tests and the scan-vs-indexed benchmark.
-pub fn evaluate_scan<G: PgRead>(pg: &G, query: &CypherQuery) -> Result<Rows, CypherError> {
-    evaluate_scan_params(pg, query, &Params::default())
-}
-
-/// [`evaluate_scan`] with parameter bindings — the unplanned reference for
-/// differential tests of parameterized evaluation.
-pub fn evaluate_scan_params<G: PgRead>(
+/// reordering, single-threaded). Kept as the unplanned reference for
+/// differential tests and the scan-vs-indexed benchmark; it shares no
+/// code with the planner.
+pub fn evaluate_scan<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
     params: &Params,
 ) -> Result<Rows, CypherError> {
-    for name in param_names(query) {
-        if !params.contains_key(&name) {
-            return err(format!("parameter ${name} is not bound"));
-        }
-    }
+    check_params(query, params)?;
     let mut columns: Vec<String> = Vec::new();
     let mut all_rows: Vec<Vec<Option<Value>>> = Vec::new();
     for (i, part) in query.parts.iter().enumerate() {
@@ -1817,14 +1766,7 @@ pub(crate) fn expand_patterns_planned<G: PgRead, P: ProfHook>(
             let pattern = &q.patterns[first];
             let candidates = start_candidates(pg, &pattern.start, probes[first].as_ref());
             let candidates = candidates.as_slice();
-            // Estimated per-row cost of everything after the first pattern:
-            // bound anchors and reversed patterns are O(degree) (counted 1),
-            // forward-unbound patterns rescan their bucket per row.
-            let per_row: usize = 1 + sp.order[1..]
-                .iter()
-                .map(|&pi| sp.cost[pi].max(1))
-                .sum::<usize>();
-            let work = candidates.len().saturating_mul(per_row);
+            let work = candidates.len().saturating_mul(sp.per_row());
             // Engagement is based on estimated total work alone: a small
             // candidate set with a huge per-row fan-out still parallelizes.
             // (`work >= PARALLEL_MIN_WORK` implies a non-empty candidate
@@ -2480,11 +2422,15 @@ mod tests {
         // One plan, two bindings, two different answers.
         for (reg, iri) in [("Bs12", "http://ex/bob"), ("Bs13", "http://ex/carol")] {
             let binding = params(&[("reg", Value::String(reg.into()))]);
-            let rows = evaluate_planned_params(&pg, &q, &p, &binding, 1).unwrap();
+            let exec = Exec {
+                params: &binding,
+                ..Exec::default()
+            };
+            let rows = evaluate(&pg, &q, &p, &exec).unwrap();
             assert_eq!(rows.len(), 1, "{reg}");
             assert_eq!(rows.rows[0][0], Some(Value::String(iri.into())));
             // Scan reference agrees.
-            let scan = evaluate_scan_params(&pg, &q, &binding).unwrap();
+            let scan = evaluate_scan(&pg, &q, &binding).unwrap();
             assert_eq!(sorted_rows(&rows), sorted_rows(&scan));
         }
     }
@@ -2496,7 +2442,12 @@ mod tests {
         let p = plan(&pg, &q);
         // Int and Float bindings must both find bob (age stored as Int 24).
         for age in [Value::Int(24), Value::Float(24.0)] {
-            let rows = evaluate_planned_params(&pg, &q, &p, &params(&[("age", age)]), 1).unwrap();
+            let binding = params(&[("age", age)]);
+            let exec = Exec {
+                params: &binding,
+                ..Exec::default()
+            };
+            let rows = evaluate(&pg, &q, &p, &exec).unwrap();
             assert_eq!(rows.len(), 1);
             assert_eq!(rows.rows[0][0], Some(Value::String("Bs12".into())));
         }
@@ -2556,7 +2507,12 @@ mod tests {
         for i in [0i64, 7, 1999] {
             let binding = params(&[("i", Value::Int(i))]);
             for threads in [1, 4] {
-                let rows = evaluate_planned_params(&pg, &q, &p, &binding, threads).unwrap();
+                let exec = Exec {
+                    threads,
+                    params: &binding,
+                    ..Exec::default()
+                };
+                let rows = evaluate(&pg, &q, &p, &exec).unwrap();
                 assert_eq!(rows.len(), 1, "i={i} threads={threads}");
                 assert_eq!(rows.rows[0][0], Some(Value::String(format!("p{i}"))));
             }
@@ -2585,12 +2541,16 @@ mod tests {
         // second — with `v` bound it anchors reversed.
         assert_eq!(p.plans[0].order, vec![0, 1]);
         assert_eq!(p.plans[0].reversed, vec![false, true]);
-        let planned = evaluate(&pg, &q).unwrap();
-        let scan = evaluate_scan(&pg, &q).unwrap();
+        let planned = evaluate(&pg, &q, &p, &Exec::default()).unwrap();
+        let scan = evaluate_scan(&pg, &q, &Params::default()).unwrap();
         assert_eq!(planned.len(), 5);
         assert_eq!(sorted_rows(&planned), sorted_rows(&scan));
         // Parallel merge must reproduce the sequential planned order exactly.
-        assert_eq!(planned, evaluate_threads(&pg, &q, 4).unwrap());
+        let parallel = Exec {
+            threads: 4,
+            ..Exec::default()
+        };
+        assert_eq!(planned, evaluate(&pg, &q, &p, &parallel).unwrap());
     }
 
     #[test]
@@ -2620,11 +2580,15 @@ mod tests {
                 p.plans[0].reversed.contains(&true),
                 "expected a reversed pattern for {text}"
             );
-            let planned = evaluate(&pg, &q).unwrap();
-            let scan = evaluate_scan(&pg, &q).unwrap();
+            let planned = evaluate(&pg, &q, &p, &Exec::default()).unwrap();
+            let scan = evaluate_scan(&pg, &q, &Params::default()).unwrap();
             assert!(!planned.is_empty(), "no rows for {text}");
             assert_eq!(sorted_rows(&planned), sorted_rows(&scan), "{text}");
-            assert_eq!(planned, evaluate_threads(&pg, &q, 4).unwrap(), "{text}");
+            let parallel = Exec {
+                threads: 4,
+                ..Exec::default()
+            };
+            assert_eq!(planned, evaluate(&pg, &q, &p, &parallel).unwrap(), "{text}");
         }
     }
 

@@ -18,6 +18,17 @@
 //!   comparison used by the accuracy metric.
 //! * [`profile`] — serializable operator trees (`EXPLAIN`) and the
 //!   per-operator statistics sink (`PROFILE`) both engines render into.
+//!
+//! Each engine has one evaluation entry per level. `execute` and
+//! `execute_params` run query text. [`cypher::evaluate`] and
+//! [`sparql::evaluate`] run a parsed query and take every execution choice
+//! in one options struct: [`cypher::Exec`] carries threads, parameters,
+//! the profiling sink, and the physical [`cypher::ExecTuning`];
+//! [`sparql::Exec`] carries threads, parameters, and the sink.
+//! [`cypher::explain`] and [`sparql::explain`] take the same struct and
+//! render the operator tree the evaluator dispatches to.
+//! [`cypher::evaluate_scan`] is the unplanned reference the differential
+//! tests compare against.
 
 pub mod cypher;
 pub(crate) mod morsel;

@@ -627,6 +627,7 @@ struct WorkerOut {
 /// One UNION part, morsel-parallel, end to end. The caller has already
 /// established: `sp.order` is non-empty, `threads > 1`, and the estimated
 /// work clears `PARALLEL_MIN_WORK` (so `candidates` is non-empty).
+/// `topk` is the part's `PartPath::topk`: pushdown enabled and eligible.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_part_morsel<P: ProfHook>(
     cg: &CompactGraph,
@@ -646,7 +647,7 @@ pub(crate) fn evaluate_part_morsel<P: ProfHook>(
         Mode::Batches
     } else if has_aggregate(q) {
         Mode::Agg
-    } else if topk && topk_eligible(q) {
+    } else if topk {
         Mode::TopK
     } else {
         Mode::Rows

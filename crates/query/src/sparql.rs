@@ -17,6 +17,7 @@
 use crate::profile::{NoProf, PlanNode, ProfHook, ProfSink};
 use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::{Graph, Sym, Term};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse or evaluation error.
@@ -678,13 +679,12 @@ pub fn execute_params(
         parse(query)?
     };
     let _span = s3pg_obs::tracer().span_here("query_eval");
-    match evaluate_outcome_threads_params(graph, &q, params, 1)? {
-        Outcome::Solutions(s) => Ok(s),
-        Outcome::Count { .. } => err("aggregate query: use execute_outcome/evaluate_outcome"),
-    }
+    let exec = Exec {
+        params,
+        ..Exec::default()
+    };
+    evaluate(graph, &q, &exec)?.into_solutions()
 }
-
-/// Evaluate a parsed query over `graph`.
 
 #[derive(Clone, Copy)]
 enum Slot {
@@ -1071,94 +1071,77 @@ pub enum Outcome {
     Count { alias: String, value: usize },
 }
 
-/// Parse and evaluate, supporting aggregate (`COUNT`) projections.
-pub fn execute_outcome(graph: &Graph, query: &str) -> Result<Outcome, SparqlError> {
-    let q = parse(query)?;
-    evaluate_outcome(graph, &q)
-}
-
-/// Evaluate a parsed query, rejecting aggregates (see [`evaluate_outcome`]).
-pub fn evaluate(graph: &Graph, query: &SelectQuery) -> Result<Solutions, SparqlError> {
-    evaluate_threads(graph, query, 1)
-}
-
-/// [`evaluate`] with up to `threads` scoped workers joining the required
-/// pattern group. Rows merge in partition order, so the solutions are
-/// byte-identical to the single-threaded evaluation.
-pub fn evaluate_threads(
-    graph: &Graph,
-    query: &SelectQuery,
-    threads: usize,
-) -> Result<Solutions, SparqlError> {
-    match evaluate_outcome_threads(graph, query, threads)? {
-        Outcome::Solutions(s) => Ok(s),
-        Outcome::Count { .. } => err("aggregate query: use execute_outcome/evaluate_outcome"),
+impl Outcome {
+    /// The solution rows. An aggregate (`COUNT`) outcome is an error here;
+    /// callers that accept aggregates match on the [`Outcome`] that
+    /// [`evaluate`] returns instead.
+    pub fn into_solutions(self) -> Result<Solutions, SparqlError> {
+        match self {
+            Outcome::Solutions(s) => Ok(s),
+            Outcome::Count { .. } => {
+                err("aggregate query: use sparql::evaluate, which returns the count")
+            }
+        }
     }
 }
 
-/// Evaluate a parsed query over `graph`, producing rows or a count.
-pub fn evaluate_outcome(graph: &Graph, query: &SelectQuery) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_threads(graph, query, 1)
+/// The empty binding set [`Exec::default`] points at.
+static NO_PARAMS: Params = Params::with_hasher(std::hash::BuildHasherDefault::new());
+
+/// How [`evaluate`] runs a parsed query; [`explain`] reads the same
+/// struct.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    /// Scoped workers joining the required pattern group. Rows merge in
+    /// partition order, so the solutions are byte-identical to the
+    /// single-threaded evaluation.
+    pub threads: usize,
+    /// `$name` bindings, substituted before the patterns are compiled
+    /// against the interner, so a parameterized query parses once and
+    /// evaluates with per-call values.
+    pub params: &'a Params,
+    /// Per-operator profiling (`PROFILE`): every join step and solution
+    /// modifier records rows emitted and wall time under the ids
+    /// [`explain`] assigns. Counting happens at stage boundaries, so the
+    /// outcome is bit-identical to the unprofiled evaluation.
+    pub profile: Option<&'a ProfSink>,
 }
 
-/// [`evaluate_outcome`] with up to `threads` scoped workers.
-pub fn evaluate_outcome_threads(
-    graph: &Graph,
-    query: &SelectQuery,
-    threads: usize,
-) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_threads_params(graph, query, &Params::default(), threads)
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        Exec {
+            threads: 1,
+            params: &NO_PARAMS,
+            profile: None,
+        }
+    }
 }
 
-/// [`evaluate_outcome_threads`] with parameter bindings: every `$name`
-/// term is substituted from `params` before the patterns are compiled
-/// against the interner, so parameterized queries parse once and evaluate
-/// with per-call values.
-pub fn evaluate_outcome_threads_params(
-    graph: &Graph,
-    query: &SelectQuery,
+/// Evaluate a parsed query over `graph`, producing rows or an aggregate
+/// count.
+pub fn evaluate(graph: &Graph, query: &SelectQuery, exec: &Exec) -> Result<Outcome, SparqlError> {
+    let query = bind_params(query, exec.params)?;
+    // Dispatch once: the unprofiled arm monomorphizes with the zero-sized
+    // NoProf hook, so its loop bodies carry no instrumentation at all.
+    match exec.profile {
+        None => evaluate_inner(graph, &query, exec.threads, NoProf),
+        Some(sink) => evaluate_inner(graph, &query, exec.threads, sink),
+    }
+}
+
+/// `query` with every `$name` term substituted from `params`, borrowed
+/// unchanged when it references no parameter. Rejects a query that
+/// references a `$name` missing from `params`.
+fn bind_params<'q>(
+    query: &'q SelectQuery,
     params: &Params,
-    threads: usize,
-) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_params_inner(graph, query, params, threads, None)
-}
-
-/// [`evaluate_outcome_threads_params`] with per-operator profiling: every
-/// join step and solution modifier records rows emitted and wall time into
-/// `sink` under the same ids [`explain`] assigns. Counting happens at
-/// stage boundaries, so the outcome is bit-identical to the unprofiled
-/// evaluation.
-pub fn evaluate_outcome_profiled(
-    graph: &Graph,
-    query: &SelectQuery,
-    params: &Params,
-    threads: usize,
-    sink: &ProfSink,
-) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_params_inner(graph, query, params, threads, Some(sink))
-}
-
-fn evaluate_outcome_params_inner(
-    graph: &Graph,
-    query: &SelectQuery,
-    params: &Params,
-    threads: usize,
-    prof: Option<&ProfSink>,
-) -> Result<Outcome, SparqlError> {
+) -> Result<Cow<'q, SelectQuery>, SparqlError> {
     let names = param_names(query);
     if names.is_empty() {
-        // Dispatch once: the unprofiled arm monomorphizes with the
-        // zero-sized NoProf hook, so its loop bodies carry no
-        // instrumentation at all.
-        return match prof {
-            None => evaluate_outcome_inner(graph, query, threads, NoProf),
-            Some(sink) => evaluate_outcome_inner(graph, query, threads, sink),
-        };
+        return Ok(Cow::Borrowed(query));
     }
-    for name in &names {
-        if !params.contains_key(name) {
-            return err(format!("parameter ${name} is not bound"));
-        }
+    if let Some(name) = names.iter().find(|name| !params.contains_key(*name)) {
+        return err(format!("parameter ${name} is not bound"));
     }
     let mut q = query.clone();
     q.patterns = substitute(&q.patterns, params)?;
@@ -1167,10 +1150,7 @@ fn evaluate_outcome_params_inner(
         .iter()
         .map(|group| substitute(group, params))
         .collect::<Result<_, _>>()?;
-    match prof {
-        None => evaluate_outcome_inner(graph, &q, threads, NoProf),
-        Some(sink) => evaluate_outcome_inner(graph, &q, threads, sink),
-    }
+    Ok(Cow::Owned(q))
 }
 
 /// Collect variables in first-seen order, across required and optional
@@ -1199,7 +1179,7 @@ fn register_vars(query: &SelectQuery) -> (FxHashMap<String, usize>, Vec<String>)
     (var_index, var_names)
 }
 
-fn evaluate_outcome_inner<P: ProfHook>(
+fn evaluate_inner<P: ProfHook>(
     graph: &Graph,
     query: &SelectQuery,
     threads: usize,
@@ -1395,31 +1375,22 @@ fn eval_filter(
 /// Render the query's execution strategy as an operator tree without
 /// executing it.
 ///
-/// The tree mirrors [`evaluate_outcome_threads_params`] exactly: triple
-/// patterns appear in the greedy join order `order_patterns` picks
-/// (`TriplePatternScan` for the seed pattern, `TriplePatternJoin` for each
-/// subsequent one), followed by the solution modifiers in evaluation order.
-/// Operator ids match the ids [`evaluate_outcome_profiled`] records, so a
-/// `PROFILE` run annotates this same tree via [`PlanNode::annotate`].
+/// The tree mirrors [`evaluate`] exactly: triple patterns appear in the
+/// greedy join order `order_patterns` picks (`TriplePatternScan` for the
+/// seed pattern, `TriplePatternJoin` for each subsequent one), followed by
+/// the solution modifiers in evaluation order. Operator ids match the ids
+/// a profiled [`evaluate`] records, so a `PROFILE` run annotates this same
+/// tree via [`PlanNode::annotate`].
 ///
 /// Pattern arguments are rendered from the *original* query terms, so
 /// parameter slots stay value-free (`$name`) in cached/logged plans; join
 /// ordering and the `est_rows` cardinality estimates use the substituted
 /// terms, exactly as evaluation would.
-pub fn explain(
-    graph: &Graph,
-    query: &SelectQuery,
-    params: &Params,
-    threads: usize,
-) -> Result<PlanNode, SparqlError> {
-    for name in &param_names(query) {
-        if !params.contains_key(name) {
-            return err(format!("parameter ${name} is not bound"));
-        }
-    }
-    let substituted = substitute(&query.patterns, params)?;
+pub fn explain(graph: &Graph, query: &SelectQuery, exec: &Exec) -> Result<PlanNode, SparqlError> {
+    let threads = exec.threads;
+    let bound = bind_params(query, exec.params)?;
     let (var_index, var_names) = register_vars(query);
-    let compiled = compile_patterns(graph, &substituted, &var_index)?;
+    let compiled = compile_patterns(graph, &bound.patterns, &var_index)?;
     let probe: Vec<Option<Term>> = vec![None; var_names.len()];
     let order = order_patterns(graph, &compiled, &probe);
 
@@ -1592,7 +1563,11 @@ mod tests {
         // Same parsed query, two bindings: an IRI object and a literal one.
         let mut params = Params::default();
         params.insert("course".into(), PatternTerm::Iri("http://ex/db".into()));
-        let sols = match evaluate_outcome_threads_params(&g, &q, &params, 1).unwrap() {
+        let exec = Exec {
+            params: &params,
+            ..Exec::default()
+        };
+        let sols = match evaluate(&g, &q, &exec).unwrap() {
             Outcome::Solutions(s) => s,
             other => panic!("{other:?}"),
         };
@@ -1604,7 +1579,11 @@ mod tests {
                 datatype: None,
             },
         );
-        let sols = match evaluate_outcome_threads_params(&g, &q, &params, 1).unwrap() {
+        let exec = Exec {
+            params: &params,
+            ..Exec::default()
+        };
+        let sols = match evaluate(&g, &q, &exec).unwrap() {
             Outcome::Solutions(s) => s,
             other => panic!("{other:?}"),
         };
@@ -1629,7 +1608,7 @@ mod tests {
         assert!(e.0.contains("$o"), "{e}");
         // The params-free evaluation path reports it too (compile stage).
         let q = parse("SELECT ?s WHERE { ?s ?p $o . }").unwrap();
-        assert!(evaluate(&g, &q).is_err());
+        assert!(evaluate(&g, &q, &Exec::default()).is_err());
     }
 
     #[test]
@@ -1795,11 +1774,10 @@ mod tests {
 
     #[test]
     fn count_star_aggregate() {
-        let out = execute_outcome(
-            &graph(),
-            "PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:Student . }",
-        )
-        .unwrap();
+        let q =
+            parse("PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:Student . }")
+                .unwrap();
+        let out = evaluate(&graph(), &q, &Exec::default()).unwrap();
         assert_eq!(
             out,
             Outcome::Count {
@@ -1811,11 +1789,11 @@ mod tests {
 
     #[test]
     fn count_distinct_variable() {
-        let out = execute_outcome(
-            &graph(),
+        let q = parse(
             "PREFIX ex: <http://ex/> SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?s ex:takesCourse ?c . }",
         )
         .unwrap();
+        let out = evaluate(&graph(), &q, &Exec::default()).unwrap();
         // db, "Self Study" → 2 distinct values over 3 rows.
         assert_eq!(
             out,
@@ -1827,9 +1805,9 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_rejects_aggregates() {
-        let q = parse("SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o . }").unwrap();
-        assert!(evaluate(&graph(), &q).is_err());
+    fn execute_rejects_aggregates() {
+        let e = execute(&graph(), "SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o . }").unwrap_err();
+        assert!(e.0.contains("use sparql::evaluate"), "{e}");
     }
 
     #[test]

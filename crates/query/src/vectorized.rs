@@ -31,10 +31,9 @@
 
 use crate::cypher::compare;
 use crate::cypher::{
-    aggregate_core, err, expand_patterns_planned, finish_single_inner, shape_rows,
-    start_candidates, Binding, CmpOp, CypherError, Direction, ExecTuning, Expr, NodePattern,
-    Params, PathPattern, Probe, ReturnItem, Row, Rows, Scheduler, SinglePlan, SingleQuery,
-    PARALLEL_MIN_WORK,
+    aggregate_core, err, finish_single_inner, shape_rows, start_candidates, Binding, CmpOp,
+    CypherError, Direction, Expr, NodePattern, Params, PartPath, PathPattern, Probe, ReturnItem,
+    Row, Rows, SinglePlan, SingleQuery, PARALLEL_MIN_WORK,
 };
 use crate::profile::ProfHook;
 use s3pg_pg::{CompactGraph, EdgeId, NodeId, PgRead, Value};
@@ -448,11 +447,7 @@ fn expand_patterns_vectorized<P: ProfHook>(
             let pattern = &q.patterns[first];
             let candidates = start_candidates(cg, &pattern.start, probes[first].as_ref());
             let candidates = candidates.as_slice();
-            let per_row: usize = 1 + sp.order[1..]
-                .iter()
-                .map(|&pi| sp.cost[pi].max(1))
-                .sum::<usize>();
-            let work = candidates.len().saturating_mul(per_row);
+            let work = candidates.len().saturating_mul(sp.per_row());
             if work >= PARALLEL_MIN_WORK {
                 let rest = &sp.order[1..];
                 let chunk_size = candidates.len().div_ceil(threads);
@@ -756,8 +751,9 @@ pub(crate) fn compile_return_items(
 /// Everything after required-pattern expansion, vectorized: the shared
 /// [`apply_row_stages`] middle, projection and aggregation over compiled
 /// column accessors through the shared [`aggregate_core`], then the shared
-/// [`shape_rows`] tail — or, when `topk` allows it and the query is
-/// eligible, a bounded top-K selection instead of the full sort. Parts
+/// [`shape_rows`] tail — or, when `topk` holds (see
+/// [`PartPath`](crate::cypher::PartPath)), a bounded top-K selection
+/// instead of the full sort. Parts
 /// with `OPTIONAL MATCH` materialize rows and run the interpreter's finish
 /// (same operator ids, so PROFILE output stays joinable).
 fn finish_vectorized<P: ProfHook>(
@@ -777,7 +773,7 @@ fn finish_vectorized<P: ProfHook>(
     let has_aggregate = crate::cypher::has_aggregate(q);
     let started = prof.begin();
     let compiled = compile_return_items(cg, q, &batch, params);
-    if !has_aggregate && topk && crate::morsel::topk_eligible(q) {
+    if topk {
         // Sequential ORDER BY/LIMIT pushdown: same bounded selection the
         // morsel workers use, with a single (sequential) heap.
         let (index, descending) = q.order_by.expect("top-K requires ORDER BY");
@@ -828,14 +824,22 @@ fn finish_vectorized<P: ProfHook>(
 /// are bit-identical either way, so dispatch is purely a physical choice.
 const VECTORIZE_MIN_WORK: usize = 16;
 
+/// Whether a part's estimated work (first-pattern candidates × per-row
+/// cost, the statistic the parallel engagement test uses) clears
+/// [`VECTORIZE_MIN_WORK`]. Planner statistics only — no graph probes — so
+/// the decision itself costs nothing on the tiny queries it exists to
+/// protect.
+pub(crate) fn worth_vectorizing(sp: &SinglePlan) -> bool {
+    sp.order.first().is_none_or(|&first| {
+        sp.cost[first].max(1).saturating_mul(sp.per_row()) >= VECTORIZE_MIN_WORK
+    })
+}
+
 /// One UNION part, end to end, through the batched columnar operators.
-/// Called by the planned-evaluation dispatcher whenever the storage is a
-/// [`CompactGraph`]; answers are bit-identical to the interpreted path.
-/// Tiny workloads (estimated from the first pattern's candidate run, the
-/// same statistic the parallel engagement test uses) short-circuit to the
-/// interpreter, which has lower constant overhead. Parallel-worthy parts
-/// dispatch to the morsel scheduler unless `tuning` pins the legacy
-/// static chunking.
+/// Called by the planned-evaluation dispatcher when `path.vectorized`
+/// holds; answers are bit-identical to the interpreted path. Parallel-worthy
+/// parts dispatch to the morsel scheduler when `path.morsel` holds, and to
+/// static chunking otherwise.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_part_vectorized<P: ProfHook>(
     cg: &CompactGraph,
@@ -844,39 +848,19 @@ pub(crate) fn evaluate_part_vectorized<P: ProfHook>(
     probes: &[Option<Probe>],
     params: &Params,
     threads: usize,
-    tuning: ExecTuning,
+    path: PartPath,
     prof: P,
 ) -> Result<Rows, CypherError> {
-    if let Some(&first) = sp.order.first() {
-        // Planner statistics only — no graph probes — so the dispatch
-        // itself costs nothing on the tiny queries it exists to protect.
-        let per_row: usize = 1 + sp.order[1..]
-            .iter()
-            .map(|&pi| sp.cost[pi].max(1))
-            .sum::<usize>();
-        if sp.cost[first].max(1).saturating_mul(per_row) < VECTORIZE_MIN_WORK {
-            let rows = expand_patterns_planned(cg, part, sp, probes, threads, prof)?;
-            return finish_single_inner(cg, part, rows, params, prof);
-        }
-        if threads > 1 && tuning.scheduler == Scheduler::Morsel {
-            let candidates =
-                start_candidates(cg, &part.patterns[first].start, probes[first].as_ref());
-            let slice = candidates.as_slice();
-            if slice.len().saturating_mul(per_row) >= PARALLEL_MIN_WORK {
-                return crate::morsel::evaluate_part_morsel(
-                    cg,
-                    part,
-                    sp,
-                    probes,
-                    params,
-                    slice,
-                    threads,
-                    tuning.topk_pushdown,
-                    prof,
-                );
-            }
+    let first = sp.order.first().filter(|_| path.morsel);
+    if let Some(&first) = first {
+        let candidates = start_candidates(cg, &part.patterns[first].start, probes[first].as_ref());
+        let slice = candidates.as_slice();
+        if slice.len().saturating_mul(sp.per_row()) >= PARALLEL_MIN_WORK {
+            return crate::morsel::evaluate_part_morsel(
+                cg, part, sp, probes, params, slice, threads, path.topk, prof,
+            );
         }
     }
     let batch = expand_patterns_vectorized(cg, part, sp, probes, threads, prof)?;
-    finish_vectorized(cg, part, batch, params, tuning.topk_pushdown, prof)
+    finish_vectorized(cg, part, batch, params, path.topk, prof)
 }

@@ -195,7 +195,9 @@ fn engine_matches_naive() {
             continue;
         }
 
-        let engine = sparql::evaluate(&graph, &query).unwrap();
+        let engine = sparql::evaluate(&graph, &query, &sparql::Exec::default())
+            .and_then(sparql::Outcome::into_solutions)
+            .unwrap();
         let engine_rows: Vec<Vec<String>> = {
             let mut rows: Vec<Vec<String>> = engine
                 .rows
@@ -229,7 +231,9 @@ fn engine_matches_naive_on_fixed_join() {
         },
     ];
     let query = query_from(patterns.clone());
-    let engine = sparql::evaluate(&graph, &query).unwrap();
+    let engine = sparql::evaluate(&graph, &query, &sparql::Exec::default())
+        .and_then(sparql::Outcome::into_solutions)
+        .unwrap();
     let naive = naive_solve(&graph, &patterns);
     assert_eq!(engine.rows.len(), naive.len());
     assert_eq!(engine.rows.len(), 2); // e0→e1→lit0 and e2→e1→lit0

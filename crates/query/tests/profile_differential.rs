@@ -9,8 +9,8 @@
 //! sizes.
 
 use s3pg_pg::{CompactGraph, EdgeId, PropertyGraph, Value, IRI_KEY};
-use s3pg_query::cypher::{self, Params, Rows};
-use s3pg_query::profile::ProfSink;
+use s3pg_query::cypher::{self, Exec, Params, Rows};
+use s3pg_query::profile::{PlanNode, ProfSink};
 use s3pg_query::sparql::{self, Outcome};
 use s3pg_rdf::rng::XorShiftRng;
 
@@ -124,10 +124,18 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
     for text in CYPHER_QUERIES {
         let q = cypher::parse(text).unwrap();
         let plan = cypher::plan(pg, &q);
-        let scan = cypher::evaluate_scan(pg, &q).unwrap();
-        let plain = cypher::evaluate_planned_params(pg, &q, &plan, &params, 1).unwrap();
+        let scan = cypher::evaluate_scan(pg, &q, &params).unwrap();
+        let exec = Exec {
+            params: &params,
+            ..Exec::default()
+        };
+        let plain = cypher::evaluate(pg, &q, &plan, &exec).unwrap();
         let sink = ProfSink::new();
-        let profiled = cypher::evaluate_planned_profiled(pg, &q, &plan, &params, 1, &sink).unwrap();
+        let profiled_exec = Exec {
+            profile: Some(&sink),
+            ..exec
+        };
+        let profiled = cypher::evaluate(pg, &q, &plan, &profiled_exec).unwrap();
         assert_eq!(
             profiled, plain,
             "profiled ≠ plain: seed {seed} {form} {text}"
@@ -142,7 +150,7 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
         // The sink's ids join onto the explain tree; after annotation the
         // root operator's row count is the observed result size (union
         // roots are synthetic and never execute, so check their parts).
-        let mut tree = cypher::explain(&q, &plan, 1);
+        let mut tree = cypher::explain(pg, &q, &plan, &profiled_exec);
         tree.annotate(&sink);
         if q.parts.len() == 1 {
             assert_eq!(
@@ -161,8 +169,12 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
 
         // Parallel profiled evaluation stays bit-identical too.
         let psink = ProfSink::new();
-        let parallel =
-            cypher::evaluate_planned_profiled(pg, &q, &plan, &params, 4, &psink).unwrap();
+        let parallel_exec = Exec {
+            threads: 4,
+            profile: Some(&psink),
+            ..exec
+        };
+        let parallel = cypher::evaluate(pg, &q, &plan, &parallel_exec).unwrap();
         assert_eq!(
             parallel, plain,
             "parallel profiled: seed {seed} {form} {text}"
@@ -215,13 +227,21 @@ fn sparql_profiled_matches_plain_and_annotates_explain() {
         let g = build_rdf(seed);
         for text in SPARQL_QUERIES {
             let q = sparql::parse(text).unwrap();
-            let plain = sparql::evaluate_outcome_threads_params(&g, &q, &params, 1).unwrap();
+            let exec = sparql::Exec {
+                params: &params,
+                ..sparql::Exec::default()
+            };
+            let plain = sparql::evaluate(&g, &q, &exec).unwrap();
             let sink = ProfSink::new();
-            let profiled = sparql::evaluate_outcome_profiled(&g, &q, &params, 1, &sink).unwrap();
+            let profiled_exec = sparql::Exec {
+                profile: Some(&sink),
+                ..exec
+            };
+            let profiled = sparql::evaluate(&g, &q, &profiled_exec).unwrap();
             assert_eq!(profiled, plain, "profiled ≠ plain: seed {seed} {text}");
             assert!(!sink.is_empty(), "empty sink: seed {seed} {text}");
 
-            let mut tree = sparql::explain(&g, &q, &params, 1).unwrap();
+            let mut tree = sparql::explain(&g, &q, &profiled_exec).unwrap();
             tree.annotate(&sink);
             match &plain {
                 Outcome::Solutions(s) => assert_eq!(
@@ -236,8 +256,96 @@ fn sparql_profiled_matches_plain_and_annotates_explain() {
 
             // Parallel profiled evaluation stays bit-identical.
             let psink = ProfSink::new();
-            let parallel = sparql::evaluate_outcome_profiled(&g, &q, &params, 4, &psink).unwrap();
+            let parallel_exec = sparql::Exec {
+                threads: 4,
+                profile: Some(&psink),
+                ..exec
+            };
+            let parallel = sparql::evaluate(&g, &q, &parallel_exec).unwrap();
             assert_eq!(parallel, plain, "parallel profiled: seed {seed} {text}");
+        }
+    }
+}
+
+// ---- cypher: EXPLAIN names the path evaluation takes -----------------------
+
+/// Ids of every operator in `tree` that satisfies `pred`.
+fn op_ids(tree: &PlanNode, pred: fn(&PlanNode) -> bool) -> Vec<String> {
+    let mut out: Vec<String> = tree.children.iter().flat_map(|c| op_ids(c, pred)).collect();
+    if pred(tree) {
+        out.push(tree.id.clone());
+    }
+    out
+}
+
+fn marked_vectorized(node: &PlanNode) -> bool {
+    node.args
+        .iter()
+        .any(|(k, v)| k == "vectorized" && v == "true")
+}
+
+#[test]
+fn compact_explain_marks_only_the_parts_that_run_vectorized() {
+    let mut pg = PropertyGraph::new();
+    let nodes: Vec<_> = (0..64)
+        .map(|i| {
+            let id = pg.add_node(["L"]);
+            pg.set_prop(id, IRI_KEY, Value::String(format!("http://d/n{i}")));
+            id
+        })
+        .collect();
+    for (i, &n) in nodes.iter().enumerate() {
+        pg.add_edge(n, nodes[(i * 7 + 1) % nodes.len()], "r");
+    }
+    let compact: CompactGraph = pg.freeze();
+    let mut params = Params::default();
+    params.insert("iri".into(), Value::String("http://d/n5".into()));
+
+    // (query, expected to run through the batched columnar pipeline)
+    let cases = [
+        // An indexed point lookup: the planner's probe estimate is below
+        // the vectorization threshold, so the interpreter runs it.
+        ("MATCH (n:L) WHERE n.iri = $iri RETURN n.iri", false),
+        // A label-scan traversal over 64 nodes clears it.
+        ("MATCH (a:L)-[:r]->(b:L) RETURN a.iri, b.iri", true),
+    ];
+    for (text, vectorized) in cases {
+        let q = cypher::parse(text).unwrap();
+        let plan = cypher::plan(&compact, &q);
+        for threads in [1, 4] {
+            let sink = ProfSink::new();
+            let exec = Exec {
+                threads,
+                params: &params,
+                profile: Some(&sink),
+                ..Exec::default()
+            };
+            let mut tree = cypher::explain(&compact, &q, &plan, &exec);
+            let marked = op_ids(&tree, marked_vectorized);
+            assert_eq!(
+                !marked.is_empty(),
+                vectorized,
+                "explain markers {marked:?}: {text} at {threads} threads"
+            );
+            let morsel = op_ids(&tree, |n| n.op == "MorselFanOut");
+            assert_eq!(
+                !morsel.is_empty(),
+                vectorized && threads > 1,
+                "MorselFanOut: {text} at {threads} threads"
+            );
+
+            // PROFILE annotates the same tree; only the batched pipeline
+            // records column batches, so the marks match the real run.
+            let rows = cypher::evaluate(&compact, &q, &plan, &exec).unwrap();
+            assert!(!rows.is_empty(), "{text}");
+            tree.annotate(&sink);
+            assert_eq!(op_ids(&tree, marked_vectorized), marked, "profile: {text}");
+            let batched = op_ids(&tree, |n| n.batches.is_some());
+            assert_eq!(
+                !batched.is_empty(),
+                vectorized,
+                "batched operators {batched:?}: {text} at {threads} threads"
+            );
         }
     }
 }

@@ -35,6 +35,7 @@ use crate::query_stats::QueryStats;
 use crate::store::GraphStore;
 use s3pg::S3pgError;
 use s3pg_obs::{tracer, Counter, Histogram, Registry};
+use s3pg_pg::PgRead;
 use s3pg_query::profile::ProfSink;
 use s3pg_query::{cypher, render_term, render_value, sparql};
 use std::collections::VecDeque;
@@ -304,7 +305,31 @@ impl Shared {
         params: &[(String, Json)],
         listener: &'static str,
     ) -> Response {
+        // Serve from the read-optimized compact form when background
+        // compaction has landed it; fall back to the mutable PG in the
+        // window right after an update.
         let snap = store.snapshot();
+        match snap.compact() {
+            Some(compact) => {
+                self.run_cypher_on(compact.as_ref(), snap.epoch, query, mode, params, listener)
+            }
+            None => self.run_cypher_on(&snap.pg, snap.epoch, query, mode, params, listener),
+        }
+    }
+
+    /// [`Shared::run_cypher`] over one representation of the snapshot at
+    /// `epoch`. EXPLAIN, PROFILE and evaluation hand the same
+    /// [`cypher::Exec`] to `cypher::explain` and `cypher::evaluate`, so a
+    /// rendered plan names the physical path the query takes on `pg`.
+    fn run_cypher_on<G: PgRead>(
+        &self,
+        pg: &G,
+        epoch: u64,
+        query: &str,
+        mode: Introspect,
+        params: &[(String, Json)],
+        listener: &'static str,
+    ) -> Response {
         // Plan-cache hit: no reparse, no `query_plan` span. Miss: parse +
         // plan under one `query_plan` span, then cache the outcome (parse
         // errors included) for the next issue. Parameter values are not in
@@ -317,24 +342,15 @@ impl Shared {
                 let entry = Arc::new(CachedEntry::Cypher(match cypher::parse(query) {
                     Ok(ast) => {
                         let ast = Arc::new(ast);
-                        // Plan against whichever representation the
-                        // evaluation below will use; the statistics
-                        // (and so the plan) are identical either way.
-                        let plan = Arc::new(match snap.compact() {
-                            Some(compact) => cypher::plan(compact.as_ref(), &ast),
-                            None => cypher::plan(&snap.pg, &ast),
-                        });
+                        // The mutable and compact forms of one snapshot
+                        // share statistics, so the plan serves both.
+                        let plan = Arc::new(cypher::plan(pg, &ast));
                         // A fresh plan is the cheapest moment to render the
                         // operator tree once, so the statistics registry
                         // and slow-query log always have a plan to show.
-                        // Over the compact form the vectorized operators
-                        // are what will actually run, so mark them.
-                        let tree = match snap.compact() {
-                            Some(_) => cypher::explain_compact(&ast, &plan, 1),
-                            None => cypher::explain(&ast, &plan, 1),
-                        };
+                        let tree = cypher::explain(pg, &ast, &plan, &cypher::Exec::default());
                         self.query_stats.record_plan("cypher", query, tree);
-                        Ok(CachedCypher::new(ast, snap.epoch, plan))
+                        Ok(CachedCypher::new(ast, epoch, plan))
                     }
                     Err(e) => Err(e.to_string()),
                 }));
@@ -356,16 +372,8 @@ impl Shared {
         // return before parameter validation — a plan never depends on
         // parameter values, so `EXPLAIN q` works without bindings.
         if mode == Introspect::Explain {
-            let tree = match snap.compact() {
-                Some(compact) => {
-                    let plan = cached.plan_for(compact.as_ref(), snap.epoch, replans);
-                    cypher::explain_compact(&cached.ast, &plan, 1)
-                }
-                None => {
-                    let plan = cached.plan_for(&snap.pg, snap.epoch, replans);
-                    cypher::explain(&cached.ast, &plan, 1)
-                }
-            };
+            let plan = cached.plan_for(pg, epoch, replans);
+            let tree = cypher::explain(pg, &cached.ast, &plan, &cypher::Exec::default());
             self.query_stats.record_plan("cypher", query, tree.clone());
             return Response::Explain {
                 language: "cypher".to_string(),
@@ -381,52 +389,18 @@ impl Shared {
             Ok(bound) => bound,
             Err(frame) => return Response::Error(frame),
         };
-        // Serve from the read-optimized compact form when background
-        // compaction has landed it; fall back to the mutable PG in the
-        // window right after an update. PROFILE threads a sink through the
-        // same planned evaluation — answers stay bit-identical.
+        // PROFILE threads a sink through the same planned evaluation —
+        // answers stay bit-identical.
+        let plan = cached.plan_for(pg, epoch, replans);
         let sink = (mode == Introspect::Profile).then(ProfSink::new);
-        let (result, plan, vectorized) = match snap.compact() {
-            Some(compact) => {
-                let plan = cached.plan_for(compact.as_ref(), snap.epoch, replans);
-                let _span = tracer().span_here("query_eval");
-                let result = match &sink {
-                    Some(sink) => cypher::evaluate_planned_profiled(
-                        compact.as_ref(),
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                        sink,
-                    ),
-                    None => cypher::evaluate_planned_params(
-                        compact.as_ref(),
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                    ),
-                };
-                (result, plan, true)
-            }
-            None => {
-                let plan = cached.plan_for(&snap.pg, snap.epoch, replans);
-                let _span = tracer().span_here("query_eval");
-                let result = match &sink {
-                    Some(sink) => cypher::evaluate_planned_profiled(
-                        &snap.pg,
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                        sink,
-                    ),
-                    None => {
-                        cypher::evaluate_planned_params(&snap.pg, &cached.ast, &plan, &bound, 1)
-                    }
-                };
-                (result, plan, false)
-            }
+        let exec = cypher::Exec {
+            params: &bound,
+            profile: sink.as_ref(),
+            ..cypher::Exec::default()
+        };
+        let result = {
+            let _span = tracer().span_here("query_eval");
+            cypher::evaluate(pg, &cached.ast, &plan, &exec)
         };
         match result {
             Ok(rows) => {
@@ -435,14 +409,10 @@ impl Shared {
                     .iter()
                     .map(|row| row.iter().map(|v| v.as_ref().map(render_value)).collect())
                     .collect();
-                match sink {
+                match exec.profile {
                     Some(sink) => {
-                        let mut tree = if vectorized {
-                            cypher::explain_compact(&cached.ast, &plan, 1)
-                        } else {
-                            cypher::explain(&cached.ast, &plan, 1)
-                        };
-                        tree.annotate(&sink);
+                        let mut tree = cypher::explain(pg, &cached.ast, &plan, &exec);
+                        tree.annotate(sink);
                         self.query_stats.record_plan("cypher", query, tree.clone());
                         Response::Profile {
                             language: "cypher".to_string(),
@@ -529,8 +499,14 @@ impl Shared {
         // SPARQL has no persisted plan: the greedy join order is recomputed
         // per evaluation, so EXPLAIN renders it fresh (after parameter
         // binding — ordering uses the substituted cardinalities).
+        let sink = (mode == Introspect::Profile).then(ProfSink::new);
+        let exec = sparql::Exec {
+            params: &bound,
+            profile: sink.as_ref(),
+            ..sparql::Exec::default()
+        };
         if mode == Introspect::Explain {
-            return match sparql::explain(&snap.rdf, &cached.ast, &bound, 1) {
+            return match sparql::explain(&snap.rdf, &cached.ast, &exec) {
                 Ok(tree) => {
                     self.query_stats.record_plan("sparql", query, tree.clone());
                     Response::Explain {
@@ -544,18 +520,15 @@ impl Shared {
                 }),
             };
         }
-        let sink = (mode == Introspect::Profile).then(ProfSink::new);
+        // The wire endpoints serve solution rows only; an aggregate
+        // projection gets the engine's own error message.
         let result = {
             let _span = tracer().span_here("query_eval");
-            match &sink {
-                Some(sink) => {
-                    sparql::evaluate_outcome_profiled(&snap.rdf, &cached.ast, &bound, 1, sink)
-                }
-                None => sparql::evaluate_outcome_threads_params(&snap.rdf, &cached.ast, &bound, 1),
-            }
-        };
+            sparql::evaluate(&snap.rdf, &cached.ast, &exec)
+        }
+        .and_then(sparql::Outcome::into_solutions);
         match result {
-            Ok(sparql::Outcome::Solutions(solutions)) => {
+            Ok(solutions) => {
                 let rendered: Vec<Vec<Option<String>>> = solutions
                     .rows
                     .iter()
@@ -565,10 +538,10 @@ impl Shared {
                             .collect()
                     })
                     .collect();
-                match sink {
-                    Some(sink) => match sparql::explain(&snap.rdf, &cached.ast, &bound, 1) {
+                match exec.profile {
+                    Some(sink) => match sparql::explain(&snap.rdf, &cached.ast, &exec) {
                         Ok(mut tree) => {
-                            tree.annotate(&sink);
+                            tree.annotate(sink);
                             self.query_stats.record_plan("sparql", query, tree.clone());
                             Response::Profile {
                                 language: "sparql".to_string(),
@@ -588,12 +561,6 @@ impl Shared {
                     },
                 }
             }
-            // The wire endpoints have never served aggregate projections;
-            // keep the engine's own error message for them.
-            Ok(sparql::Outcome::Count { .. }) => Response::Error(ErrorFrame {
-                kind: ErrorKind::Query,
-                message: "aggregate query: use execute_outcome/evaluate_outcome".to_string(),
-            }),
             Err(e) => Response::Error(ErrorFrame {
                 kind: ErrorKind::Query,
                 message: e.to_string(),

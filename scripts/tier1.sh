@@ -10,6 +10,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# The benchmark harness is its own workspace, so the root build and
+# tests above never compile it; build it and run its self-tests here so an
+# API change in the engine crates cannot break it silently.
+echo "== cargo test -q --manifest-path e2ebench/Cargo.toml =="
+cargo test -q --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -17,7 +17,7 @@ use s3pg::pipeline::transform;
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{PgRead, PropertyGraph, Value};
-use s3pg_query::cypher;
+use s3pg_query::cypher::{self, Exec};
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::Graph;
 use s3pg_shacl::extract_shapes;
@@ -174,8 +174,14 @@ fn assert_compact_matches_mutable(pg: &PropertyGraph, queries: &[String], contex
     let mut nonempty = 0usize;
     for text in queries {
         let q = cypher::parse(text).unwrap();
-        let on_mutable = cypher::evaluate(pg, &q).unwrap();
-        let on_compact = cypher::evaluate(&compact, &q).unwrap();
+        let plan_mutable = cypher::plan(pg, &q);
+        let plan_compact = cypher::plan(&compact, &q);
+        let parallel = Exec {
+            threads: 4,
+            ..Exec::default()
+        };
+        let on_mutable = cypher::evaluate(pg, &q, &plan_mutable, &Exec::default()).unwrap();
+        let on_compact = cypher::evaluate(&compact, &q, &plan_compact, &Exec::default()).unwrap();
         assert_eq!(
             on_mutable.columns, on_compact.columns,
             "{context}: columns diverge for {text}"
@@ -186,12 +192,12 @@ fn assert_compact_matches_mutable(pg: &PropertyGraph, queries: &[String], contex
             "{context}: rows diverge for {text}"
         );
         // Within one representation, parallel is byte-identical.
-        let par_mutable = cypher::evaluate_threads(pg, &q, 4).unwrap();
+        let par_mutable = cypher::evaluate(pg, &q, &plan_mutable, &parallel).unwrap();
         assert_eq!(
             on_mutable, par_mutable,
             "{context}: parallel mutable diverges for {text}"
         );
-        let par_compact = cypher::evaluate_threads(&compact, &q, 4).unwrap();
+        let par_compact = cypher::evaluate(&compact, &q, &plan_compact, &parallel).unwrap();
         assert_eq!(
             on_compact, par_compact,
             "{context}: parallel compact diverges for {text}"

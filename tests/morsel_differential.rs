@@ -18,7 +18,7 @@
 use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_pg::PropertyGraph;
-use s3pg_query::cypher::{self, ExecTuning, Scheduler};
+use s3pg_query::cypher::{self, Exec, ExecTuning, Scheduler};
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_shacl::extract_shapes;
 use s3pg_workloads::skew::generate_skewed;
@@ -60,6 +60,7 @@ fn tunings() -> Vec<(ExecTuning, &'static str)> {
             ExecTuning {
                 scheduler: Scheduler::Static,
                 topk_pushdown: false,
+                ..ExecTuning::default()
             },
             "static",
         ),
@@ -67,6 +68,7 @@ fn tunings() -> Vec<(ExecTuning, &'static str)> {
             ExecTuning {
                 scheduler: Scheduler::Morsel,
                 topk_pushdown: false,
+                ..ExecTuning::default()
             },
             "morsel-no-topk",
         ),
@@ -82,20 +84,30 @@ fn assert_morsel_matches(pg: &PropertyGraph, queries: &[String], context: &str) 
     for text in queries {
         let q = cypher::parse(text).unwrap_or_else(|e| panic!("{context}: parse {text}: {e}"));
         let plan = cypher::plan(&compact, &q);
-        let reference =
-            cypher::evaluate_planned_interpreted(&compact, &q, &plan, &params, 1).unwrap();
+        let interpret = |threads| Exec {
+            threads,
+            params: &params,
+            tuning: ExecTuning {
+                vectorize: false,
+                ..ExecTuning::default()
+            },
+            ..Exec::default()
+        };
+        let reference = cypher::evaluate(&compact, &q, &plan, &interpret(1)).unwrap();
         for threads in THREADS {
-            let interpreted =
-                cypher::evaluate_planned_interpreted(&compact, &q, &plan, &params, threads)
-                    .unwrap();
+            let interpreted = cypher::evaluate(&compact, &q, &plan, &interpret(threads)).unwrap();
             assert_eq!(
                 reference, interpreted,
                 "{context}: interpreter not thread-invariant for {text} at {threads} threads"
             );
             for (tuning, name) in tunings() {
-                let got =
-                    cypher::evaluate_planned_tuned(&compact, &q, &plan, &params, threads, tuning)
-                        .unwrap();
+                let exec = Exec {
+                    threads,
+                    params: &params,
+                    tuning,
+                    ..Exec::default()
+                };
+                let got = cypher::evaluate(&compact, &q, &plan, &exec).unwrap();
                 assert_eq!(
                     reference, got,
                     "{context}: {name} != interpreted for {text} at {threads} threads"

@@ -23,7 +23,8 @@ use s3pg::pipeline::transform;
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{NodeId, PropertyGraph, Value};
-use s3pg_query::{cypher, sparql};
+use s3pg_query::cypher::{self, Exec};
+use s3pg_query::sparql;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::Graph;
 use s3pg_shacl::extract_shapes;
@@ -61,6 +62,17 @@ fn sorted_rows(rows: &cypher::Rows) -> Vec<String> {
     out
 }
 
+/// SPARQL solutions of `q` over `graph` with `threads` workers.
+fn sparql_solutions(graph: &Graph, q: &sparql::SelectQuery, threads: usize) -> sparql::Solutions {
+    let exec = sparql::Exec {
+        threads,
+        ..sparql::Exec::default()
+    };
+    sparql::evaluate(graph, q, &exec)
+        .and_then(sparql::Outcome::into_solutions)
+        .unwrap()
+}
+
 #[test]
 fn parallel_evaluation_matches_sequential_rows_and_order() {
     let generated = workload();
@@ -72,17 +84,22 @@ fn parallel_evaluation_matches_sequential_rows_and_order() {
     let mut exercised_parallel = false;
     for spec in &queries {
         let sparql_q = sparql::parse(&spec.sparql).unwrap();
-        let seq = sparql::evaluate(&generated.graph, &sparql_q).unwrap();
+        let seq = sparql_solutions(&generated.graph, &sparql_q, 1);
         for threads in [2, 4, 8] {
-            let par = sparql::evaluate_threads(&generated.graph, &sparql_q, threads).unwrap();
+            let par = sparql_solutions(&generated.graph, &sparql_q, threads);
             assert_eq!(seq, par, "sparql {} at {threads} threads", spec.sparql);
         }
 
         let text = query_translate::translate_str(&spec.sparql, &out.schema.mapping).unwrap();
         let cypher_q = cypher::parse(&text).unwrap();
-        let seq = cypher::evaluate(&out.pg, &cypher_q).unwrap();
+        let plan = cypher::plan(&out.pg, &cypher_q);
+        let seq = cypher::evaluate(&out.pg, &cypher_q, &plan, &Exec::default()).unwrap();
         for threads in [2, 4, 8] {
-            let par = cypher::evaluate_threads(&out.pg, &cypher_q, threads).unwrap();
+            let exec = Exec {
+                threads,
+                ..Exec::default()
+            };
+            let par = cypher::evaluate(&out.pg, &cypher_q, &plan, &exec).unwrap();
             assert_eq!(seq, par, "cypher {text} at {threads} threads");
         }
         exercised_parallel |= !seq.is_empty();
@@ -105,14 +122,14 @@ fn parallel_branch_engages_on_heavy_cartesian_queries() {
     let (c0, c1) = (&generated.meta.classes[0], &generated.meta.classes[1]);
     let text = format!("SELECT ?a ?b WHERE {{ ?a a <{c0}> . ?b a <{c1}> . }}");
     let q = sparql::parse(&text).unwrap();
-    let seq = sparql::evaluate(&generated.graph, &q).unwrap();
+    let seq = sparql_solutions(&generated.graph, &q, 1);
     assert!(
         seq.len() >= INSTANCES * INSTANCES,
         "cartesian sparql too small to engage workers: {} rows",
         seq.len()
     );
     for threads in [2, 4, 8] {
-        let par = sparql::evaluate_threads(&generated.graph, &q, threads).unwrap();
+        let par = sparql_solutions(&generated.graph, &q, threads);
         assert_eq!(seq, par, "sparql {text} at {threads} threads");
     }
 
@@ -120,16 +137,21 @@ fn parallel_branch_engages_on_heavy_cartesian_queries() {
     let (l0, l1) = busiest_labels(&out.pg);
     let text = format!("MATCH (a:{l0}) MATCH (b:{l1}) RETURN a.iri, b.iri");
     let q = cypher::parse(&text).unwrap();
-    let seq = cypher::evaluate(&out.pg, &q).unwrap();
+    let plan = cypher::plan(&out.pg, &q);
+    let seq = cypher::evaluate(&out.pg, &q, &plan, &Exec::default()).unwrap();
     assert!(
         seq.rows.len() >= INSTANCES * INSTANCES,
         "cartesian cypher too small to engage workers: {} rows",
         seq.rows.len()
     );
-    let scan = cypher::evaluate_scan(&out.pg, &q).unwrap();
+    let scan = cypher::evaluate_scan(&out.pg, &q, &cypher::Params::default()).unwrap();
     assert_eq!(sorted_rows(&scan), sorted_rows(&seq), "{text}");
     for threads in [2, 4, 8] {
-        let par = cypher::evaluate_threads(&out.pg, &q, threads).unwrap();
+        let exec = Exec {
+            threads,
+            ..Exec::default()
+        };
+        let par = cypher::evaluate(&out.pg, &q, &plan, &exec).unwrap();
         assert_eq!(seq, par, "cypher {text} at {threads} threads");
     }
 }
@@ -168,8 +190,9 @@ fn planned_evaluation_matches_scan_on_workload_queries() {
     for spec in generate_queries(&generated.meta, 2) {
         let text = query_translate::translate_str(&spec.sparql, &out.schema.mapping).unwrap();
         let q = cypher::parse(&text).unwrap();
-        let scan = cypher::evaluate_scan(&out.pg, &q).unwrap();
-        let planned = cypher::evaluate(&out.pg, &q).unwrap();
+        let scan = cypher::evaluate_scan(&out.pg, &q, &cypher::Params::default()).unwrap();
+        let plan = cypher::plan(&out.pg, &q);
+        let planned = cypher::evaluate(&out.pg, &q, &plan, &Exec::default()).unwrap();
         assert_eq!(scan, planned, "planned != scan for {text}");
     }
 
@@ -182,12 +205,17 @@ fn planned_evaluation_matches_scan_on_workload_queries() {
          MATCH (b:{src_label})-[:{edge_label}]->(v) RETURN a.iri, b.iri"
     );
     let q = cypher::parse(&text).unwrap();
-    let scan = cypher::evaluate_scan(&out.pg, &q).unwrap();
-    let planned = cypher::evaluate(&out.pg, &q).unwrap();
+    let scan = cypher::evaluate_scan(&out.pg, &q, &cypher::Params::default()).unwrap();
+    let plan = cypher::plan(&out.pg, &q);
+    let planned = cypher::evaluate(&out.pg, &q, &plan, &Exec::default()).unwrap();
     assert!(!planned.is_empty(), "join query returned no rows: {text}");
     assert_eq!(sorted_rows(&scan), sorted_rows(&planned), "{text}");
     for threads in [2, 4, 8] {
-        let par = cypher::evaluate_threads(&out.pg, &q, threads).unwrap();
+        let exec = Exec {
+            threads,
+            ..Exec::default()
+        };
+        let par = cypher::evaluate(&out.pg, &q, &plan, &exec).unwrap();
         assert_eq!(planned, par, "join {text} at {threads} threads");
     }
 }

@@ -20,7 +20,8 @@ use s3pg::pipeline::transform;
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{CompactGraph, PropertyGraph, Value};
-use s3pg_query::{cypher, sparql};
+use s3pg_query::cypher::{self, Exec, ExecTuning};
+use s3pg_query::sparql;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_shacl::extract_shapes;
 use s3pg_workloads::generate_queries;
@@ -175,20 +176,28 @@ fn assert_vectorized_matches(pg: &PropertyGraph, queries: &[String], context: &s
     for text in queries {
         let q = cypher::parse(text).unwrap();
         let plan = cypher::plan(&compact, &q);
-        let scan = cypher::evaluate_scan(&compact, &q).unwrap();
+        let scan = cypher::evaluate_scan(&compact, &q, &params).unwrap();
         for threads in [1usize, 4] {
-            let interpreted =
-                cypher::evaluate_planned_interpreted(&compact, &q, &plan, &params, threads)
-                    .unwrap();
-            let vectorized =
-                cypher::evaluate_planned_params(&compact, &q, &plan, &params, threads).unwrap();
+            let exec = Exec {
+                threads,
+                params: &params,
+                ..Exec::default()
+            };
+            let interpret = Exec {
+                tuning: ExecTuning {
+                    vectorize: false,
+                    ..ExecTuning::default()
+                },
+                ..exec
+            };
+            let interpreted = cypher::evaluate(&compact, &q, &plan, &interpret).unwrap();
+            let vectorized = cypher::evaluate(&compact, &q, &plan, &exec).unwrap();
             // Same plan, same graph: bit-identical, not just multiset-equal.
             assert_eq!(
                 interpreted, vectorized,
                 "{context}: vectorized != interpreted for {text} at {threads} threads"
             );
-            let roundtripped =
-                cypher::evaluate_planned_params(&decoded, &q, &plan, &params, threads).unwrap();
+            let roundtripped = cypher::evaluate(&decoded, &q, &plan, &exec).unwrap();
             assert_eq!(
                 vectorized, roundtripped,
                 "{context}: codec roundtrip diverges for {text} at {threads} threads"
@@ -200,14 +209,7 @@ fn assert_vectorized_matches(pg: &PropertyGraph, queries: &[String], context: &s
                 sorted_rows(&vectorized),
                 "{context}: vectorized != scan for {text} at {threads} threads"
             );
-            let mutable = cypher::evaluate_planned_interpreted(
-                pg,
-                &q,
-                &cypher::plan(pg, &q),
-                &params,
-                threads,
-            )
-            .unwrap();
+            let mutable = cypher::evaluate(pg, &q, &cypher::plan(pg, &q), &interpret).unwrap();
             assert_eq!(
                 sorted_rows(&mutable),
                 sorted_rows(&vectorized),
@@ -281,8 +283,12 @@ fn sparql_flat_join_is_thread_invariant() {
     let generated = workload();
     for spec in generate_queries(&generated.meta, 3) {
         let q = sparql::parse(&spec.sparql).unwrap();
-        let seq = sparql::evaluate(&generated.graph, &q).unwrap();
-        let par = sparql::evaluate_threads(&generated.graph, &q, 4).unwrap();
+        let parallel = sparql::Exec {
+            threads: 4,
+            ..sparql::Exec::default()
+        };
+        let seq = sparql::evaluate(&generated.graph, &q, &sparql::Exec::default()).unwrap();
+        let par = sparql::evaluate(&generated.graph, &q, &parallel).unwrap();
         assert_eq!(seq, par, "sparql {} diverges at 4 threads", spec.sparql);
     }
 }
