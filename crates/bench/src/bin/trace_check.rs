@@ -1,7 +1,7 @@
 //! `trace_check` — CI validator for observability artifacts.
 //!
 //! Validates a `--trace-out` JSONL file (every line parses, required
-//! fields present, begins/ends balanced with proper nesting via
+//! fields present, begins/ends balanced and nested along parent links via
 //! [`s3pg_obs::validate_span_tree`]), optionally the `metrics.json`
 //! summary `s3pg-convert --metrics` writes, the `BENCH_query.json`
 //! document the `query_runtime` bench emits, the `BENCH_compact.json`

@@ -405,41 +405,73 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Validate a span event stream: every `end` matches the innermost open
-/// `begin` of its trace (proper nesting), and no span is left open.
-/// Returns per-trace open-span counts on success — all zero — or a
-/// description of the first violation. Used by the trace JSONL checks in
+/// Validate a span event stream as a forest of properly nested spans:
+/// every `begin` names a parent that is open in its trace (or 0 for a
+/// root), every `end` closes an open span none of whose children is still
+/// open, and no span is left open. Nesting follows the recorded parent
+/// links rather than one stack per trace, so sibling spans on different
+/// threads (the pipeline's parallel shards) may interleave. Returns the
+/// first violation as a description. Used by the trace JSONL checks in
 /// CI and the integration tests.
 pub fn validate_span_tree(events: &[TraceEvent]) -> Result<(), String> {
     use std::collections::HashMap;
-    let mut open: HashMap<u64, Vec<(u64, &'static str)>> = HashMap::new();
+    struct Open {
+        name: &'static str,
+        parent: u64,
+        open_children: usize,
+    }
+    let mut open: HashMap<(u64, u64), Open> = HashMap::new();
     for e in events {
-        let stack = open.entry(e.trace).or_default();
         match e.kind {
-            EventKind::Begin => stack.push((e.span, e.name)),
-            EventKind::End => match stack.pop() {
-                Some((span, _)) if span == e.span => {}
-                Some((span, name)) => {
-                    return Err(format!(
-                        "trace {}: end of span {} ({}) while span {} ({}) is innermost",
-                        e.trace, e.span, e.name, span, name
-                    ))
+            EventKind::Begin => {
+                if e.parent != 0 {
+                    match open.get_mut(&(e.trace, e.parent)) {
+                        Some(parent) => parent.open_children += 1,
+                        None => {
+                            return Err(format!(
+                                "trace {}: span {} ({}) begins under span {}, which is not open",
+                                e.trace, e.span, e.name, e.parent
+                            ))
+                        }
+                    }
                 }
-                None => {
+                let span = Open {
+                    name: e.name,
+                    parent: e.parent,
+                    open_children: 0,
+                };
+                if open.insert((e.trace, e.span), span).is_some() {
+                    return Err(format!(
+                        "trace {}: span {} ({}) begins twice",
+                        e.trace, e.span, e.name
+                    ));
+                }
+            }
+            EventKind::End => {
+                let Some(span) = open.remove(&(e.trace, e.span)) else {
                     return Err(format!(
                         "trace {}: end of span {} ({}) with no open span",
                         e.trace, e.span, e.name
-                    ))
+                    ));
+                };
+                if span.open_children > 0 {
+                    return Err(format!(
+                        "trace {}: end of span {} ({}) while {} of its children are open",
+                        e.trace, e.span, span.name, span.open_children
+                    ));
                 }
-            },
+                if let Some(parent) = open.get_mut(&(e.trace, span.parent)) {
+                    parent.open_children -= 1;
+                }
+            }
         }
     }
-    for (trace, stack) in &open {
-        if let Some((span, name)) = stack.last() {
-            return Err(format!("trace {trace}: span {span} ({name}) never ended"));
+    match open.iter().min_by_key(|(key, _)| **key) {
+        Some(((trace, span), Open { name, .. })) => {
+            Err(format!("trace {trace}: span {span} ({name}) never ended"))
         }
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -619,6 +651,47 @@ mod tests {
             ev(1, 0, "a", EventKind::End, 3),
         ])
         .is_ok());
+    }
+
+    #[test]
+    fn validator_follows_parent_links_across_threads() {
+        let ev = |span, parent, name, kind| TraceEvent {
+            trace: 1,
+            span,
+            parent,
+            name,
+            kind,
+            t_us: 0,
+        };
+        // Two worker siblings under one root, interleaved as parallel
+        // shards record them: b begins, c begins, b ends, c ends.
+        assert!(validate_span_tree(&[
+            ev(1, 0, "root", EventKind::Begin),
+            ev(2, 1, "shard", EventKind::Begin),
+            ev(3, 1, "shard", EventKind::Begin),
+            ev(2, 0, "shard", EventKind::End),
+            ev(3, 0, "shard", EventKind::End),
+            ev(1, 0, "root", EventKind::End),
+        ])
+        .is_ok());
+        // The root may not end while a worker is still open.
+        assert!(validate_span_tree(&[
+            ev(1, 0, "root", EventKind::Begin),
+            ev(2, 1, "shard", EventKind::Begin),
+            ev(3, 1, "shard", EventKind::Begin),
+            ev(2, 0, "shard", EventKind::End),
+            ev(1, 0, "root", EventKind::End),
+            ev(3, 0, "shard", EventKind::End),
+        ])
+        .is_err());
+        // A span may only begin under a parent that is open.
+        assert!(validate_span_tree(&[
+            ev(1, 0, "root", EventKind::Begin),
+            ev(1, 0, "root", EventKind::End),
+            ev(2, 1, "late", EventKind::Begin),
+            ev(2, 0, "late", EventKind::End),
+        ])
+        .is_err());
     }
 
     #[test]
